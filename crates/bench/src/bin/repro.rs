@@ -25,6 +25,9 @@
 //! run whose spec does not set one explicitly (0 restores the default of
 //! one worker per core), so scaling behavior is reproducible from the CLI
 //! without editing code.
+//!
+//! An unknown artifact name, or `--workers` without a number, prints a
+//! usage line and exits with status 2 before anything runs.
 
 use bench::tables;
 use std::fs;
@@ -40,16 +43,72 @@ fn write(name: &str, content: &str) {
     println!("--- {name} ---\n{content}");
 }
 
+/// Every artifact name `repro` accepts.
+const ARTIFACTS: &[&str] = &[
+    "all",
+    "table1",
+    "table2",
+    "table3",
+    "table4",
+    "table5",
+    "table6",
+    "table7",
+    "table8",
+    "figure2",
+    "figure12",
+    "perf",
+    "faults",
+    "scale",
+    "scaling",
+    "crash",
+    "scale100k",
+];
+
+const USAGE: &str = "usage: repro [--workers N] [all|table1..table8|figure2|figure12|perf|\
+                     faults|scale|scaling|crash|scale100k]...";
+
+/// A parsed command line.
+#[derive(Debug, PartialEq)]
+struct Args {
+    /// `--workers N`, if given.
+    workers: Option<usize>,
+    /// Artifact names, in command-line order (empty means `all`).
+    artifacts: Vec<String>,
+}
+
+/// Parses the arguments after the program name. An unknown artifact name
+/// or a `--workers` without a number is an error, so a typo cannot pass
+/// for a run that regenerated nothing.
+fn parse_args(args: &[String]) -> Result<Args, String> {
+    let mut parsed = Args {
+        workers: None,
+        artifacts: Vec::new(),
+    };
+    let mut it = args.iter();
+    while let Some(a) = it.next() {
+        if a == "--workers" {
+            let n = it.next().and_then(|v| v.parse().ok());
+            parsed.workers = Some(n.ok_or("--workers needs a number")?);
+        } else if ARTIFACTS.contains(&a.as_str()) {
+            parsed.artifacts.push(a.clone());
+        } else {
+            return Err(format!("unknown artifact {a:?}"));
+        }
+    }
+    Ok(parsed)
+}
+
 fn main() {
-    let mut args: Vec<String> = std::env::args().skip(1).collect();
-    // Strip `--workers N` before artifact matching.
-    if let Some(i) = args.iter().position(|a| a == "--workers") {
-        let n: usize = args
-            .get(i + 1)
-            .and_then(|v| v.parse().ok())
-            .unwrap_or_else(|| panic!("--workers needs a number, got {:?}", args.get(i + 1)));
+    let argv: Vec<String> = std::env::args().skip(1).collect();
+    let Args {
+        workers,
+        artifacts: args,
+    } = parse_args(&argv).unwrap_or_else(|e| {
+        eprintln!("repro: {e}\n{USAGE}");
+        std::process::exit(2);
+    });
+    if let Some(n) = workers {
         bench::grid::set_default_workers(n);
-        args.drain(i..=i + 1);
     }
     let want = |n: &str| args.is_empty() || args.iter().any(|a| a == n || a == "all");
 
@@ -198,5 +257,43 @@ fn main() {
             "BENCH_6.json",
             &bench::scale100k::bench6_json(cores, &probe, &diffs, &amort, &det),
         );
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(args: &[&str]) -> Result<Args, String> {
+        parse_args(&args.iter().map(|a| a.to_string()).collect::<Vec<_>>())
+    }
+
+    #[test]
+    fn parses_known_artifacts_and_workers() {
+        assert_eq!(
+            parse(&[]),
+            Ok(Args {
+                workers: None,
+                artifacts: vec![]
+            })
+        );
+        assert_eq!(
+            parse(&["table2", "--workers", "4", "scale"]),
+            Ok(Args {
+                workers: Some(4),
+                artifacts: vec!["table2".into(), "scale".into()]
+            })
+        );
+        for name in ARTIFACTS {
+            assert!(parse(&[name]).is_ok(), "{name}");
+        }
+    }
+
+    #[test]
+    fn rejects_unknown_names_and_bad_workers() {
+        assert!(parse(&["bogus"]).is_err());
+        assert!(parse(&["table1", "tabel2"]).is_err());
+        assert!(parse(&["--workers"]).is_err());
+        assert!(parse(&["--workers", "many"]).is_err());
     }
 }

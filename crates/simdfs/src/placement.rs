@@ -111,10 +111,18 @@ pub trait PlacementPolicy: std::fmt::Debug + Send {
     /// online nodes; policies must not return duplicates. An empty result
     /// means no placement is possible.
     ///
-    /// This is the uncached reference path: ring policies rebuild their
-    /// ring on every call. The simulator's hot path goes through
-    /// [`PlacementPolicy::place_cached`] instead.
-    fn place(&self, key: u64, size: Bytes, replicas: usize, views: &[VolumeView]) -> Placement;
+    /// This is the uncached path, for view lists that are not the
+    /// canonical list of a topology generation (filtered or reordered):
+    /// it builds a throwaway cache for `views` and places through it, so
+    /// ring policies rebuild their ring on every call. The simulator's hot
+    /// path goes through [`PlacementPolicy::place_cached`] instead.
+    fn place(&self, key: u64, size: Bytes, replicas: usize, views: &[VolumeView]) -> Placement {
+        let mut cache = PlacementCache::new();
+        self.rebuild(&mut cache, views);
+        let mut out = Vec::new();
+        self.place_via(&mut cache, key, size, replicas, views, &mut out);
+        out
+    }
 
     /// Rebuilds `cache`'s precomputed structures for `views`. Called by
     /// [`PlacementPolicy::place_cached`] when the topology generation
@@ -124,19 +132,16 @@ pub trait PlacementPolicy: std::fmt::Debug + Send {
     /// Places using `cache`, which must hold structures built by
     /// [`PlacementPolicy::rebuild`] for this exact `views` slice (same
     /// membership and order; `used` fill levels may differ), writing the
-    /// chosen volumes into `out` (cleared first). The default falls back
-    /// to the uncached path.
+    /// chosen volumes into `out` (cleared first).
     fn place_via(
         &self,
-        _cache: &mut PlacementCache,
+        cache: &mut PlacementCache,
         key: u64,
         size: Bytes,
         replicas: usize,
         views: &[VolumeView],
         out: &mut Placement,
-    ) {
-        *out = self.place(key, size, replicas, views);
-    }
+    );
 
     /// Cached entry point: rebuilds the cache iff `generation` does not
     /// match what it was built for, then places through it into `out`
@@ -183,6 +188,10 @@ pub trait PlacementPolicy: std::fmt::Debug + Send {
 /// Selects up to `replicas` entries from scored candidates, preferring
 /// distinct nodes first, then filling with remaining volumes if the cluster
 /// has fewer nodes than requested replicas.
+///
+/// The allocating full-sort reference: the test oracle that
+/// [`pick_distinct_nodes_indexed`]'s top-k selection must reproduce.
+#[cfg(test)]
 fn pick_distinct_nodes(
     mut scored: Vec<(f64, VolumeView)>,
     replicas: usize,
@@ -218,25 +227,32 @@ fn pick_distinct_nodes(
     out
 }
 
-/// Index-based variant of [`pick_distinct_nodes`] used by the cached path:
-/// sorts `(score, view index)` pairs in place and reuses the caller's
-/// node scratch and output buffers, so a call allocates nothing once the
-/// buffers are warm.
-fn pick_distinct_nodes_indexed(
-    scored: &mut [(f64, u32)],
+/// Candidates ranked per requested replica before the top-k picker falls
+/// back to a full sort (see [`pick_distinct_nodes_indexed`]).
+const TOP_K_PER_REPLICA: usize = 4;
+
+/// The ranking every scoring policy places by: score descending under
+/// `total_cmp` (so NaN and ±0.0 have fixed places), then volume id
+/// ascending. Volume ids are unique within a view list, so this is a
+/// strict total order and any prefix of the ranking is well defined.
+fn rank(views: &[VolumeView], a: &(f64, u32), b: &(f64, u32)) -> std::cmp::Ordering {
+    b.0.total_cmp(&a.0)
+        .then_with(|| views[a.1 as usize].volume.cmp(&views[b.1 as usize].volume))
+}
+
+/// The two selection passes over `ranked` (best first): one volume per
+/// distinct node, then same-node volumes while replicas are still short.
+fn take_distinct(
+    ranked: &[(f64, u32)],
     views: &[VolumeView],
     replicas: usize,
     size: Bytes,
     used_nodes: &mut Vec<NodeId>,
     out: &mut Placement,
 ) {
-    scored.sort_unstable_by(|a, b| {
-        b.0.total_cmp(&a.0)
-            .then_with(|| views[a.1 as usize].volume.cmp(&views[b.1 as usize].volume))
-    });
     used_nodes.clear();
     out.clear();
-    for &(_, i) in scored.iter() {
+    for &(_, i) in ranked {
         if out.len() == replicas {
             break;
         }
@@ -247,7 +263,7 @@ fn pick_distinct_nodes_indexed(
         }
     }
     if out.len() < replicas {
-        for &(_, i) in scored.iter() {
+        for &(_, i) in ranked {
             if out.len() == replicas {
                 break;
             }
@@ -257,6 +273,47 @@ fn pick_distinct_nodes_indexed(
             }
         }
     }
+}
+
+/// Index-based picker used by every scoring policy: selects exactly what
+/// [`pick_distinct_nodes`] would from `(score, view index)` pairs, reusing
+/// the caller's node scratch and output buffers, so a call allocates
+/// nothing once the buffers are warm.
+///
+/// Only the best `M = 4 · replicas` candidates are ever sorted. Short
+/// lists (at most `2M`) are sorted whole. Longer ones drop the volumes
+/// without room for `size` (both passes skip them anyway), then
+/// `select_nth_unstable_by` partitions out the best `M` under [`rank`] and
+/// only that prefix is sorted. Because [`rank`] is a strict total order,
+/// the sorted prefix is exactly the head of the full ranking, so whenever
+/// the distinct-node pass fills every replica inside it the result is the
+/// full sort's. Otherwise the full ranking might reach further nodes: the
+/// rest is sorted too and the passes rerun over the whole list.
+fn pick_distinct_nodes_indexed(
+    scored: &mut Vec<(f64, u32)>,
+    views: &[VolumeView],
+    replicas: usize,
+    size: Bytes,
+    used_nodes: &mut Vec<NodeId>,
+    out: &mut Placement,
+) {
+    let m = TOP_K_PER_REPLICA * replicas.max(1);
+    // Length of the already-ranked prefix of `scored`.
+    let mut ranked = 0;
+    if scored.len() > 2 * m {
+        scored.retain(|&(_, i)| views[i as usize].free() >= size);
+        if scored.len() > m {
+            scored.select_nth_unstable_by(m - 1, |a, b| rank(views, a, b));
+            scored[..m].sort_unstable_by(|a, b| rank(views, a, b));
+            take_distinct(&scored[..m], views, replicas, size, used_nodes, out);
+            if used_nodes.len() == replicas {
+                return;
+            }
+            ranked = m;
+        }
+    }
+    scored[ranked..].sort_unstable_by(|a, b| rank(views, a, b));
+    take_distinct(scored, views, replicas, size, used_nodes, out);
 }
 
 /// GlusterFS-style DHT hash partitioning.
@@ -330,24 +387,6 @@ impl PlacementPolicy for DhtHashRing {
         "dht-hash-ring"
     }
 
-    fn place(&self, key: u64, size: Bytes, replicas: usize, views: &[VolumeView]) -> Placement {
-        let mut ring = Vec::new();
-        Self::build_ring(views, &mut ring);
-        let mut used_nodes = Vec::new();
-        let mut out = Vec::new();
-        walk_ring(
-            &ring,
-            views,
-            key,
-            size,
-            replicas,
-            &mut used_nodes,
-            true,
-            &mut out,
-        );
-        out
-    }
-
     fn rebuild(&self, cache: &mut PlacementCache, views: &[VolumeView]) {
         Self::build_ring(views, &mut cache.ring);
     }
@@ -393,24 +432,6 @@ impl Default for VnodeRing {
 impl PlacementPolicy for VnodeRing {
     fn name(&self) -> &'static str {
         "vnode-ring"
-    }
-
-    fn place(&self, key: u64, size: Bytes, replicas: usize, views: &[VolumeView]) -> Placement {
-        let mut ring = Vec::new();
-        self.build_ring(views, &mut ring);
-        let mut used_nodes = Vec::new();
-        let mut out = Vec::new();
-        walk_ring(
-            &ring,
-            views,
-            key,
-            size,
-            replicas,
-            &mut used_nodes,
-            false,
-            &mut out,
-        );
-        out
     }
 
     fn rebuild(&self, cache: &mut PlacementCache, views: &[VolumeView]) {
@@ -467,19 +488,6 @@ impl PlacementPolicy for CrushStraw2 {
         "crush-straw2"
     }
 
-    fn place(&self, key: u64, size: Bytes, replicas: usize, views: &[VolumeView]) -> Placement {
-        let scored: Vec<(f64, VolumeView)> = views
-            .iter()
-            .map(|v| {
-                let u = hash01(mix(key, v.volume.0 as u64));
-                // Larger score wins in `pick_distinct_nodes`; straw2 picks
-                // the *minimum* -ln(u)/w, i.e. the maximum of its negation.
-                (-(-u.ln() / v.weight()), *v)
-            })
-            .collect();
-        pick_distinct_nodes(scored, replicas, size)
-    }
-
     fn rebuild(&self, cache: &mut PlacementCache, views: &[VolumeView]) {
         cache.weights.clear();
         cache.weights.extend(views.iter().map(VolumeView::weight));
@@ -499,6 +507,8 @@ impl PlacementPolicy for CrushStraw2 {
         scored.clear();
         scored.extend(views.iter().enumerate().map(|(i, v)| {
             let u = hash01(mix(key, v.volume.0 as u64));
+            // Larger score wins in the picker; straw2 picks the *minimum*
+            // -ln(u)/w, i.e. the maximum of its negation.
             (-(-u.ln() / weights[i]), i as u32)
         }));
         pick_distinct_nodes_indexed(scored, views, replicas, size, &mut cache.nodes, out);
@@ -517,12 +527,6 @@ pub struct FreeSpaceWeighted;
 impl PlacementPolicy for FreeSpaceWeighted {
     fn name(&self) -> &'static str {
         "free-space-weighted"
-    }
-
-    fn place(&self, key: u64, size: Bytes, replicas: usize, views: &[VolumeView]) -> Placement {
-        let scored: Vec<(f64, VolumeView)> =
-            views.iter().map(|v| (Self::score(key, v), *v)).collect();
-        pick_distinct_nodes(scored, replicas, size)
     }
 
     // Free-space scores depend on live fill levels, so nothing is
@@ -632,13 +636,6 @@ impl PowerOfDChoices {
 impl PlacementPolicy for PowerOfDChoices {
     fn name(&self) -> &'static str {
         "power-of-d"
-    }
-
-    fn place(&self, key: u64, size: Bytes, replicas: usize, views: &[VolumeView]) -> Placement {
-        let mut cache = PlacementCache::new();
-        let mut out = Vec::new();
-        self.place_via(&mut cache, key, size, replicas, views, &mut out);
-        out
     }
 
     fn place_via(
@@ -751,14 +748,6 @@ impl StrideSampledDht {
 impl PlacementPolicy for StrideSampledDht {
     fn name(&self) -> &'static str {
         "stride-dht"
-    }
-
-    fn place(&self, key: u64, size: Bytes, replicas: usize, views: &[VolumeView]) -> Placement {
-        let mut cache = PlacementCache::new();
-        self.rebuild(&mut cache, views);
-        let mut out = Vec::new();
-        self.place_via(&mut cache, key, size, replicas, views, &mut out);
-        out
     }
 
     fn rebuild(&self, cache: &mut PlacementCache, views: &[VolumeView]) {
@@ -1059,6 +1048,161 @@ mod tests {
         pick_distinct_nodes_indexed(&mut rev_idx, &views, 2, 1, &mut scratch, &mut b);
         assert_eq!(a, b);
         assert_eq!(a, fwd);
+    }
+
+    /// A generated view list for the picker oracle tests: `len` volumes
+    /// with shuffled unique ids, `per_node` volumes per node (or, when
+    /// `few_nodes > 0`, every volume on one of `few_nodes` nodes), fill
+    /// levels from empty to full, and scores drawn from a small pool so
+    /// ties, NaNs of both signs and ±0.0 are common.
+    fn oracle_case(
+        seed: u64,
+        len: usize,
+        per_node: u32,
+        few_nodes: u32,
+    ) -> (Vec<VolumeView>, Vec<(f64, u32)>) {
+        let views: Vec<VolumeView> = (0..len as u32)
+            .map(|i| {
+                let node = if few_nodes > 0 {
+                    i % few_nodes
+                } else {
+                    i / per_node
+                };
+                VolumeView {
+                    volume: VolumeId(i.wrapping_mul(0x9e37_79b1) ^ seed as u32),
+                    node: NodeId(node),
+                    capacity: 1000,
+                    used: [1000, 0, 500, 999][(mix(seed, i as u64 ^ 0xf111) % 4) as usize],
+                    online: true,
+                }
+            })
+            .collect();
+        let scored = (0..len as u32)
+            .map(|i| {
+                let h = mix(seed, i as u64);
+                let score = match h % 8 {
+                    0 => 0.0,
+                    1 => -0.0,
+                    2 => f64::NAN,
+                    3 => -f64::NAN,
+                    4 => 1.0,
+                    5 => 0.5,
+                    _ => hash01(h),
+                };
+                (score, i)
+            })
+            .collect();
+        (views, scored)
+    }
+
+    /// Runs the top-k picker and the full-sort oracle on the same input.
+    fn picker_and_oracle(
+        views: &[VolumeView],
+        scored: &[(f64, u32)],
+        replicas: usize,
+        size: Bytes,
+    ) -> (Placement, Placement) {
+        let oracle = pick_distinct_nodes(
+            scored
+                .iter()
+                .map(|&(s, i)| (s, views[i as usize]))
+                .collect(),
+            replicas,
+            size,
+        );
+        let mut work = scored.to_vec();
+        let (mut nodes, mut out) = (Vec::new(), Vec::new());
+        pick_distinct_nodes_indexed(&mut work, views, replicas, size, &mut nodes, &mut out);
+        (out, oracle)
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(1024))]
+
+        /// The top-k picker returns exactly the full sort's placement on
+        /// short lists, on long ones, and on lists whose eligible prefix
+        /// cannot fill every replica on distinct nodes (the fallback).
+        #[test]
+        fn top_k_picker_matches_full_sort_oracle(
+            len in proptest::prop_oneof![0usize..48, 0usize..301],
+            per_node in 1u32..5,
+            few_nodes in proptest::prop_oneof![proptest::prelude::Just(0u32), 1u32..5],
+            replicas in 1usize..5,
+            size in proptest::prop_oneof![
+                proptest::prelude::Just(0u64),
+                proptest::prelude::Just(1u64),
+                proptest::prelude::Just(400u64),
+            ],
+            seed in proptest::prelude::any::<u64>(),
+        ) {
+            let (views, scored) = oracle_case(seed, len, per_node, few_nodes);
+            let (picked, oracle) = picker_and_oracle(&views, &scored, replicas, size);
+            proptest::prop_assert_eq!(picked, oracle);
+        }
+    }
+
+    #[test]
+    fn top_k_picker_falls_back_when_prefix_lacks_distinct_nodes() {
+        // 64 volumes on 3 nodes, the 40 best all on node 0: the best
+        // 4·replicas candidates hold one node, so the distinct-node pass
+        // must reach past the prefix to find nodes 1 and 2.
+        let views: Vec<VolumeView> = (0..64u32)
+            .map(|i| VolumeView {
+                volume: VolumeId(i),
+                node: NodeId(if i < 40 { 0 } else { 1 + i % 2 }),
+                capacity: 1000,
+                used: 0,
+                online: true,
+            })
+            .collect();
+        let scored: Vec<(f64, u32)> = (0..64u32).map(|i| (100.0 - i as f64, i)).collect();
+        let (picked, oracle) = picker_and_oracle(&views, &scored, 3, 1);
+        assert_eq!(picked, oracle);
+        assert_eq!(picked, vec![VolumeId(0), VolumeId(40), VolumeId(41)]);
+    }
+
+    #[test]
+    fn scoring_policies_match_full_sort_oracle_on_large_lists() {
+        // The policies' own scores on a list far above the short-list
+        // threshold, with drifting fill levels: `place` must equal the
+        // full-sort oracle over the same scores.
+        let mut vs: Vec<VolumeView> = (0..400u32)
+            .map(|i| VolumeView {
+                volume: VolumeId(i),
+                node: NodeId(i / 2),
+                capacity: 1 << 30,
+                used: 0,
+                online: true,
+            })
+            .collect();
+        for k in 0..300u64 {
+            let key = mix(k, 0x7091);
+            let size = 1 + (k % 5) * (1 << 27);
+            let replicas = 1 + (k % 4) as usize;
+            let straw2 = vs
+                .iter()
+                .map(|v| {
+                    (
+                        -(-hash01(mix(key, v.volume.0 as u64)).ln() / v.weight()),
+                        *v,
+                    )
+                })
+                .collect();
+            assert_eq!(
+                CrushStraw2.place(key, size, replicas, &vs),
+                pick_distinct_nodes(straw2, replicas, size)
+            );
+            let fsw = vs
+                .iter()
+                .map(|v| (FreeSpaceWeighted::score(key, v), *v))
+                .collect();
+            assert_eq!(
+                FreeSpaceWeighted.place(key, size, replicas, &vs),
+                pick_distinct_nodes(fsw, replicas, size)
+            );
+            let i = (mix(k, 3) % vs.len() as u64) as usize;
+            vs[i].used = (vs[i].used + (1 << 28)).min(vs[i].capacity);
+        }
     }
 
     /// Per-view coefficient of variation of `used` after replaying `keys`

@@ -12,7 +12,7 @@ use crate::spec::Operation;
 use serde::{Deserialize, Serialize};
 
 /// Role of a node as seen by the load monitor.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Serialize, Deserialize)]
 pub enum Role {
     /// Metadata management node.
     Management,

@@ -368,6 +368,7 @@ pub fn run_campaign_with_mode(
     // persistence window instead of comparing incomparable reports.
     let mut prior_report_nodes: Vec<(u64, crate::adaptor::Role)> = Vec::new();
     let mut report_nodes: Vec<(u64, crate::adaptor::Role)> = Vec::new();
+    let mut sorted_nodes: Vec<(u64, crate::adaptor::Role)> = Vec::new();
     let mut prior_variance = 0.0f64;
 
     loop {
@@ -498,22 +499,32 @@ pub fn run_campaign_with_mode(
                 .filter(|n| n.online)
                 .map(|n| (n.node, n.role)),
         );
-        for role in [
-            crate::adaptor::Role::Management,
-            crate::adaptor::Role::Storage,
-        ] {
-            let vanished = prior_report_nodes
-                .iter()
-                .any(|e| e.1 == role && !report_nodes.contains(e));
-            if vanished {
-                prior_kinds.retain(|k| match role {
-                    crate::adaptor::Role::Management => !matches!(
-                        k,
-                        crate::detector::ImbalanceKind::Cpu
-                            | crate::detector::ImbalanceKind::Network
-                    ),
-                    crate::adaptor::Role::Storage => *k != crate::detector::ImbalanceKind::Storage,
-                });
+        // An unchanged node list (the common case) cannot have lost a
+        // node: one O(n) comparison. After a membership change, each prior
+        // node is looked up in a sorted copy of the current list.
+        if report_nodes != prior_report_nodes {
+            sorted_nodes.clear();
+            sorted_nodes.extend_from_slice(&report_nodes);
+            sorted_nodes.sort_unstable();
+            for role in [
+                crate::adaptor::Role::Management,
+                crate::adaptor::Role::Storage,
+            ] {
+                let vanished = prior_report_nodes
+                    .iter()
+                    .any(|e| e.1 == role && sorted_nodes.binary_search(e).is_err());
+                if vanished {
+                    prior_kinds.retain(|k| match role {
+                        crate::adaptor::Role::Management => !matches!(
+                            k,
+                            crate::detector::ImbalanceKind::Cpu
+                                | crate::detector::ImbalanceKind::Network
+                        ),
+                        crate::adaptor::Role::Storage => {
+                            *k != crate::detector::ImbalanceKind::Storage
+                        }
+                    });
+                }
             }
         }
         std::mem::swap(&mut report_nodes, &mut prior_report_nodes);
@@ -671,6 +682,13 @@ mod tests {
         coverage: u64,
         imbalance_after: u64,
         resets: u64,
+        /// Adds three management nodes with a persistent CPU hotspot.
+        cpu_hot: bool,
+        /// `(campaign report index, node)`: that node is missing from that
+        /// one report the campaign loop reads.
+        drop: Option<(u64, u64)>,
+        /// Reports the campaign loop has read so far.
+        reports: u64,
     }
 
     impl FakeAdaptor {
@@ -681,6 +699,9 @@ mod tests {
                 coverage: 0,
                 imbalance_after,
                 resets: 0,
+                cpu_hot: false,
+                drop: None,
+                reports: 0,
             }
         }
 
@@ -716,10 +737,32 @@ mod tests {
                 capacity: 8 << 30,
                 uptime_ms: 1 << 40,
             };
+            let mut nodes = vec![mk(1, 1_000), mk(2, 1_000), mk(3, hot)];
+            if self.cpu_hot {
+                for (id, cpu) in [(4, 2.0), (5, 2.0), (6, 12.0)] {
+                    nodes.push(NodeLoad {
+                        role: Role::Management,
+                        cpu,
+                        storage: 0,
+                        capacity: 0,
+                        ..mk(id, 0)
+                    });
+                }
+            }
             LoadReport {
                 time_ms: self.now,
-                nodes: vec![mk(1, 1_000), mk(2, 1_000), mk(3, hot)],
+                nodes,
             }
+        }
+
+        fn load_report_into(&mut self, out: &mut LoadReport) {
+            *out = self.load_report();
+            if let Some((at, node)) = self.drop {
+                if self.reports == at {
+                    out.nodes.retain(|n| n.node != node);
+                }
+            }
+            self.reports += 1;
         }
 
         fn rebalance(&mut self) {
@@ -879,6 +922,42 @@ mod tests {
         // One redeploy before every iteration except the first.
         assert_eq!(adaptor.resets, res.iterations - 1);
         assert_eq!(res.resets, 0, "no failures, so no confirm resets");
+    }
+
+    /// Kinds confirmed by the first double-check of a campaign against a
+    /// target that is storage- and CPU-imbalanced from the start, with
+    /// `drop` hiding one node from one campaign report.
+    fn first_confirmed_kinds(drop: Option<(u64, u64)>) -> Vec<crate::detector::ImbalanceKind> {
+        let mut strat = ThemisMinus;
+        let mut adaptor = FakeAdaptor::new(0);
+        adaptor.cpu_hot = true;
+        adaptor.drop = drop;
+        let cfg = CampaignConfig {
+            budget_ms: 100_000,
+            ..Default::default()
+        };
+        let res = run_campaign(&mut strat, &mut adaptor, &cfg, &mut NullObserver);
+        let first = res.confirmed.first().expect("a confirmation").time_ms;
+        res.confirmed
+            .iter()
+            .take_while(|f| f.time_ms == first)
+            .map(|f| f.kind)
+            .collect()
+    }
+
+    #[test]
+    fn vanished_node_restarts_only_its_roles_persistence_window() {
+        use crate::detector::ImbalanceKind::{Cpu, Storage};
+        // Report 0 opens both windows; report 1 makes both persistent.
+        assert_eq!(first_confirmed_kinds(None), vec![Storage, Cpu]);
+        // A cold storage node missing from report 1: the storage window
+        // restarts (the node list changed under it), the CPU one does not.
+        assert_eq!(first_confirmed_kinds(Some((1, 1))), vec![Cpu]);
+        // A cold management node missing: the CPU window restarts instead.
+        assert_eq!(first_confirmed_kinds(Some((1, 4))), vec![Storage]);
+        // A node missing from report 0 only reappears in report 1: new
+        // nodes restart nothing.
+        assert_eq!(first_confirmed_kinds(Some((0, 1))), vec![Storage, Cpu]);
     }
 
     #[test]

@@ -126,8 +126,9 @@ impl Detector {
             });
         }
         // Exclude warming-up management nodes from the rate-based
-        // detectors (their decayed load counters are meaningless).
-        let s = lvm::score_warmed(report, self.cfg.warmup_ms);
+        // detectors (their decayed load counters are meaningless). Only
+        // the O(n) ratios and means are needed, not the pairwise sums.
+        let s = lvm::ratios_warmed(report, self.cfg.warmup_ms);
         let limit = 1.0 + self.cfg.threshold_t;
         if s.storage_ratio > limit && s.storage_mean >= self.cfg.min_storage_mean {
             out.push(Candidate {
@@ -327,6 +328,68 @@ mod tests {
         assert_eq!(c.len(), 1);
         assert_eq!(c[0].kind, ImbalanceKind::Crash);
         assert_eq!(c[0].ratio, 1.0);
+    }
+
+    /// The detector's verdicts as read off the full LVM score.
+    fn verdicts_from_full_score(d: &Detector, report: &LoadReport) -> Vec<Candidate> {
+        let mut out = Vec::new();
+        let crashed = report.crashed().count();
+        if crashed > 0 {
+            out.push(Candidate {
+                kind: ImbalanceKind::Crash,
+                ratio: crashed as f64,
+            });
+        }
+        let s = lvm::score_warmed(report, d.cfg.warmup_ms);
+        let limit = 1.0 + d.cfg.threshold_t;
+        let gates = [
+            (
+                ImbalanceKind::Storage,
+                s.storage_ratio,
+                s.storage_mean,
+                d.cfg.min_storage_mean,
+            ),
+            (
+                ImbalanceKind::Cpu,
+                s.cpu_ratio,
+                s.cpu_mean,
+                d.cfg.min_cpu_mean,
+            ),
+            (
+                ImbalanceKind::Network,
+                s.network_ratio,
+                s.network_mean,
+                d.cfg.min_network_mean,
+            ),
+        ];
+        for (kind, ratio, mean, min_mean) in gates {
+            if ratio > limit && mean >= min_mean {
+                out.push(Candidate { kind, ratio });
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn check_matches_verdicts_of_full_score() {
+        // Random reports with warming-up management nodes, zero-capacity
+        // storage nodes, offline and crashed nodes: the ratio-only path
+        // must raise exactly the candidates the full score implies.
+        let mut fired = [0usize; 4];
+        for seed in 0..3000u64 {
+            let mut d = Detector::with_threshold([0.1, 0.25, 0.5][(seed % 3) as usize]);
+            d.cfg.min_storage_mean = 0.01;
+            let report = crate::lvm::tests::random_report(seed, d.cfg.warmup_ms);
+            let got = d.check(&report);
+            assert_eq!(got, verdicts_from_full_score(&d, &report), "seed {seed}");
+            for c in got {
+                fired[c.kind as usize] += 1;
+            }
+        }
+        assert!(
+            fired.iter().all(|&n| n > 0),
+            "every detector fires: {fired:?}"
+        );
     }
 
     #[test]

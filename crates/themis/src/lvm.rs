@@ -120,62 +120,177 @@ fn max_over_mean(values: &[f64]) -> f64 {
     values.iter().cloned().fold(f64::MIN, f64::max) / mean
 }
 
+/// The per-role load vectors the model reduces, in report order:
+/// storage utilization of online storage nodes with capacity, and CPU and
+/// network load of online management nodes at least `warmup_ms` old.
+struct LoadVectors {
+    storage: Vec<f64>,
+    cpu: Vec<f64>,
+    net: Vec<f64>,
+}
+
+impl LoadVectors {
+    fn of(report: &LoadReport, warmup_ms: u64) -> Self {
+        // Storage load is compared as utilization (used/capacity), matching
+        // how real balancers and operators read `df` output; nodes may carry
+        // different volume counts.
+        let storage = report
+            .by_role(Role::Storage)
+            .filter(|n| n.capacity > 0)
+            .map(|n| n.storage as f64 / n.capacity as f64)
+            .collect();
+        let warm = || {
+            report
+                .by_role(Role::Management)
+                .filter(move |n| n.uptime_ms >= warmup_ms)
+        };
+        LoadVectors {
+            storage,
+            cpu: warm().map(|n| n.cpu).collect(),
+            net: warm().map(|n| n.network()).collect(),
+        }
+    }
+
+    /// The O(n) part of the model: max/mean ratios and means.
+    fn ratios(&self) -> LoadRatios {
+        let mean = |v: &[f64]| {
+            if v.is_empty() {
+                0.0
+            } else {
+                v.iter().sum::<f64>() / v.len() as f64
+            }
+        };
+        LoadRatios {
+            storage_ratio: max_over_mean(&self.storage),
+            cpu_ratio: max_over_mean(&self.cpu),
+            network_ratio: max_over_mean(&self.net),
+            storage_mean: mean(&self.storage),
+            cpu_mean: mean(&self.cpu),
+            network_mean: mean(&self.net),
+        }
+    }
+}
+
+/// The detector's inputs: the max/mean ratios and means of a
+/// [`VarianceScore`], without its O(n²) pairwise sums.
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
+pub(crate) struct LoadRatios {
+    /// Max/mean storage ratio.
+    pub storage_ratio: f64,
+    /// Max/mean CPU ratio.
+    pub cpu_ratio: f64,
+    /// Max/mean network ratio.
+    pub network_ratio: f64,
+    /// Mean storage utilization per storage node.
+    pub storage_mean: f64,
+    /// Mean CPU per management node.
+    pub cpu_mean: f64,
+    /// Mean network load per management node.
+    pub network_mean: f64,
+}
+
 /// Computes the Load Variance Model over a load report, excluding
 /// management nodes younger than `warmup_ms` (their rate counters carry no
 /// signal yet; including them lets a tester "raise variance" by merely
 /// adding nodes).
 pub fn score_warmed(report: &LoadReport, warmup_ms: u64) -> VarianceScore {
-    let filtered = LoadReport {
-        time_ms: report.time_ms,
-        nodes: report
-            .nodes
-            .iter()
-            .filter(|n| n.role != Role::Management || n.uptime_ms >= warmup_ms)
-            .cloned()
-            .collect(),
-    };
-    score(&filtered)
+    let v = LoadVectors::of(report, warmup_ms);
+    let r = v.ratios();
+    VarianceScore {
+        storage: normalized_pairwise(&v.storage),
+        cpu: normalized_pairwise(&v.cpu),
+        network: normalized_pairwise(&v.net),
+        storage_ratio: r.storage_ratio,
+        cpu_ratio: r.cpu_ratio,
+        network_ratio: r.network_ratio,
+        storage_mean: r.storage_mean,
+        cpu_mean: r.cpu_mean,
+        network_mean: r.network_mean,
+    }
+}
+
+/// The ratio and mean fields of [`score_warmed`], bit for bit, in O(n):
+/// the same vectors reduced by the same expressions, minus the pairwise
+/// sums.
+pub(crate) fn ratios_warmed(report: &LoadReport, warmup_ms: u64) -> LoadRatios {
+    LoadVectors::of(report, warmup_ms).ratios()
 }
 
 /// Computes the Load Variance Model over a load report.
 pub fn score(report: &LoadReport) -> VarianceScore {
-    // Storage load is compared as utilization (used/capacity), matching
-    // how real balancers and operators read `df` output; nodes may carry
-    // different volume counts.
-    let storage: Vec<f64> = report
-        .by_role(Role::Storage)
-        .filter(|n| n.capacity > 0)
-        .map(|n| n.storage as f64 / n.capacity as f64)
-        .collect();
-    let cpu: Vec<f64> = report.by_role(Role::Management).map(|n| n.cpu).collect();
-    let net: Vec<f64> = report
-        .by_role(Role::Management)
-        .map(|n| n.network())
-        .collect();
-    let mean = |v: &[f64]| {
-        if v.is_empty() {
-            0.0
-        } else {
-            v.iter().sum::<f64>() / v.len() as f64
-        }
-    };
-    VarianceScore {
-        storage: normalized_pairwise(&storage),
-        cpu: normalized_pairwise(&cpu),
-        network: normalized_pairwise(&net),
-        storage_ratio: max_over_mean(&storage),
-        cpu_ratio: max_over_mean(&cpu),
-        network_ratio: max_over_mean(&net),
-        storage_mean: mean(&storage),
-        cpu_mean: mean(&cpu),
-        network_mean: mean(&net),
-    }
+    score_warmed(report, 0)
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::adaptor::NodeLoad;
+    use rand::rngs::StdRng;
+    use rand::{RngExt, SeedableRng};
+
+    /// A random report mixing storage nodes (some without capacity, some
+    /// offline or crashed) with management nodes on both sides of
+    /// `warmup_ms`, with loads drawn near the detector's default gates and
+    /// from a small pool so ties and zeros are common.
+    pub(crate) fn random_report(seed: u64, warmup_ms: u64) -> LoadReport {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let n = rng.random_range(0..40usize);
+        let nodes = (0..n as u64)
+            .map(|id| {
+                let online = rng.random_range(0..8u32) != 0;
+                let pick = |rng: &mut StdRng, hi: f64| match rng.random_range(0..4u32) {
+                    0 => 0.0,
+                    1 => hi / 2.0,
+                    _ => rng.random_range(0..1000u32) as f64 * hi / 1000.0,
+                };
+                let storage_node = rng.random_range(0..2u32) == 0;
+                let capacity = if storage_node && rng.random_range(0..5u32) != 0 {
+                    1 << 30
+                } else {
+                    0
+                };
+                NodeLoad {
+                    node: id,
+                    role: if storage_node {
+                        Role::Storage
+                    } else {
+                        Role::Management
+                    },
+                    online,
+                    crashed: !online && rng.random_range(0..2u32) == 0,
+                    cpu: pick(&mut rng, 12.0),
+                    rps: pick(&mut rng, 30.0),
+                    read_io: pick(&mut rng, 10.0),
+                    write_io: pick(&mut rng, 10.0),
+                    storage: rng.random_range(0..(1u64 << 29)),
+                    capacity,
+                    uptime_ms: warmup_ms - 1 + rng.random_range(0..3u64),
+                }
+            })
+            .collect();
+        LoadReport { time_ms: 0, nodes }
+    }
+
+    #[test]
+    fn ratios_match_full_score_bit_for_bit() {
+        let warmup = 480_000;
+        for seed in 0..2000u64 {
+            let report = random_report(seed, warmup);
+            let s = score_warmed(&report, warmup);
+            let r = ratios_warmed(&report, warmup);
+            let pairs = [
+                (s.storage_ratio, r.storage_ratio),
+                (s.cpu_ratio, r.cpu_ratio),
+                (s.network_ratio, r.network_ratio),
+                (s.storage_mean, r.storage_mean),
+                (s.cpu_mean, r.cpu_mean),
+                (s.network_mean, r.network_mean),
+            ];
+            for (a, b) in pairs {
+                assert_eq!(a.to_bits(), b.to_bits(), "seed {seed}: {s:?} vs {r:?}");
+            }
+        }
+    }
 
     fn storage_node(id: u64, bytes: u64) -> NodeLoad {
         NodeLoad {
@@ -319,6 +434,35 @@ mod tests {
             nodes: vec![storage_node(1, 100), storage_node(2, 100), down],
         };
         assert_eq!(score(&report).storage, 0.0);
+    }
+
+    #[test]
+    fn warming_up_mgmt_and_zero_capacity_storage_nodes_are_excluded() {
+        let mut young = mgmt_node(3, 90.0, 90.0);
+        young.uptime_ms = 999;
+        let mut empty = storage_node(6, 1 << 29);
+        empty.capacity = 0;
+        let report = LoadReport {
+            time_ms: 0,
+            nodes: vec![
+                mgmt_node(1, 5.0, 5.0),
+                mgmt_node(2, 5.0, 5.0),
+                young,
+                storage_node(4, 100),
+                storage_node(5, 100),
+                empty,
+            ],
+        };
+        let r = ratios_warmed(&report, 1000);
+        assert_eq!(
+            (r.cpu_ratio, r.network_ratio, r.storage_ratio),
+            (1.0, 1.0, 1.0)
+        );
+        assert_eq!(r.cpu_mean, 5.0);
+        // Old enough once uptime reaches the warm-up period.
+        let r = ratios_warmed(&report, 999);
+        assert!(r.cpu_ratio > 2.0 && r.network_ratio > 2.0);
+        assert_eq!(score_warmed(&report, 999).cpu_ratio, r.cpu_ratio);
     }
 
     #[test]

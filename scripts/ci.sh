@@ -40,6 +40,12 @@ check_schema results/detlint.json 2
 
 run cargo test --workspace --offline -q
 
+# The benchmark package's own tests (it is a separate package, outside the
+# workspace): the timing wrappers forward every adaptor method, wrapped
+# campaigns render byte-identical reports, and the table-grid executor
+# reproduces bench::grid::run_grid cell for cell.
+run cargo test --release --offline --manifest-path perfbench/Cargo.toml -q
+
 # The crash-consistency oracle must hold with debug_assertions compiled
 # out: rerun the release-profile regression tests that seed counter
 # drift and ownership divergence and expect the runtime auditor to
