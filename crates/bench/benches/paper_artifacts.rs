@@ -7,7 +7,7 @@
 //! in the harness show up in `cargo bench`.
 
 use bench::{run_eval, run_eval_baseline, run_matrix, run_strategy_all_flavors};
-use criterion::{criterion_group, Criterion};
+use criterion::{criterion_group, criterion_main, Criterion};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use simdfs::{BugSet, DfsRequest, DfsSim, Flavor, MIB};
@@ -255,27 +255,4 @@ fn bench_perf(c: &mut Criterion) {
 }
 
 criterion_group!(benches, bench_tables, bench_micro, bench_perf);
-
-fn main() {
-    benches();
-
-    // Fold the recorded measurements plus one-shot campaign / grid-scaling
-    // timings into the machine-readable artifact at the repo root.
-    let raw: Vec<bench::perf::RawMeasurement> = criterion::take_measurements()
-        .into_iter()
-        .map(|m| bench::perf::RawMeasurement {
-            id: m.id,
-            samples: m.samples,
-            iters_per_sample: m.iters_per_sample,
-            mean_s: m.mean_s,
-            min_s: m.min_s,
-            max_s: m.max_s,
-        })
-        .collect();
-    let campaign = bench::perf::measure_campaign(Flavor::GlusterFs, 1, 0xbe, 3);
-    let spec = bench::perf::scaling_spec(1);
-    let grid = bench::perf::measure_grid_scaling(&spec, &[2, 4]);
-    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_1.json");
-    bench::perf::write_bench_json(&path, &raw, &campaign, &grid).expect("write BENCH_1.json");
-    println!("wrote {}", path.display());
-}
+criterion_main!(benches);

@@ -6,8 +6,8 @@ use adaptors::SimAdaptor;
 use simdfs::{BugSet, Flavor};
 use std::collections::{BTreeMap, BTreeSet};
 use themis::{
-    by_name, run_campaign_with_mode, CampaignConfig, CampaignObserver, CampaignResult,
-    ConfirmedFailure, DetectorConfig, ExecutionMode, VarianceWeights,
+    by_name, run_campaign, CampaignConfig, CampaignObserver, CampaignResult, ConfirmedFailure,
+    DetectorConfig, VarianceWeights,
 };
 
 /// Outcome of one evaluated campaign, with oracle attribution.
@@ -89,8 +89,6 @@ pub fn run_eval(
         weights,
         true,
         "none",
-        ExecutionMode::Accumulate,
-        true,
     )
 }
 
@@ -120,71 +118,6 @@ pub fn run_eval_faulted(
         weights,
         true,
         fault_profile,
-        ExecutionMode::Accumulate,
-        true,
-    )
-}
-
-/// Like [`run_eval_faulted`] but under an explicit campaign execution
-/// mode — the entry point the fork-vs-replay differential tests and the
-/// `perf/campaign_fork_vs_replay` benchmark use.
-#[allow(clippy::too_many_arguments)]
-pub fn run_eval_mode(
-    flavor: Flavor,
-    strategy_name: &str,
-    bugs: BugSet,
-    hours: u64,
-    seed: u64,
-    threshold_t: f64,
-    weights: VarianceWeights,
-    fault_profile: &str,
-    mode: ExecutionMode,
-) -> EvalResult {
-    eval_inner(
-        flavor,
-        strategy_name,
-        bugs,
-        hours,
-        seed,
-        threshold_t,
-        weights,
-        true,
-        fault_profile,
-        mode,
-        true,
-    )
-}
-
-/// Clean-slate evaluation with the simulator's snapshot capability
-/// switched off: every iteration re-establishes the initial state through
-/// a full redeploy. This is the pre-fork-engine baseline the
-/// `perf/campaign_fork_vs_replay` measurements compare throughput against.
-/// Note its virtual-time axis differs from the snapshot modes (a redeploy
-/// charges one virtual minute; a restore is free), so only wall-clock
-/// throughput — not per-campaign results — is comparable.
-#[allow(clippy::too_many_arguments)]
-pub fn run_eval_redeploy(
-    flavor: Flavor,
-    strategy_name: &str,
-    bugs: BugSet,
-    hours: u64,
-    seed: u64,
-    threshold_t: f64,
-    weights: VarianceWeights,
-    fault_profile: &str,
-) -> EvalResult {
-    eval_inner(
-        flavor,
-        strategy_name,
-        bugs,
-        hours,
-        seed,
-        threshold_t,
-        weights,
-        true,
-        fault_profile,
-        ExecutionMode::FullReplay,
-        false,
     )
 }
 
@@ -210,8 +143,6 @@ pub fn run_eval_baseline(
         weights,
         false,
         "none",
-        ExecutionMode::Accumulate,
-        true,
     )
 }
 
@@ -226,11 +157,8 @@ fn eval_inner(
     weights: VarianceWeights,
     placement_caching: bool,
     fault_profile: &str,
-    mode: ExecutionMode,
-    use_snapshots: bool,
 ) -> EvalResult {
     let mut adaptor = SimAdaptor::new(flavor, bugs);
-    adaptor.set_snapshot_capability(use_snapshots);
     // Nothing in the eval pipeline reads the rendered command log; skip
     // the per-send operation clone it would cost.
     adaptor.command_log_cap = 0;
@@ -247,7 +175,6 @@ fn eval_inner(
         threshold_t,
         weights,
         fault_profile,
-        mode,
     )
 }
 
@@ -267,7 +194,6 @@ fn eval_prepared(
     threshold_t: f64,
     weights: VarianceWeights,
     fault_profile: &str,
-    mode: ExecutionMode,
 ) -> EvalResult {
     let mut strat =
         by_name(strategy_name).unwrap_or_else(|| panic!("unknown strategy {strategy_name}"));
@@ -292,7 +218,7 @@ fn eval_prepared(
         weights,
         ..Default::default()
     };
-    let campaign = run_campaign_with_mode(strat.as_mut(), adaptor, &cfg, &mut obs, mode);
+    let campaign = run_campaign(strat.as_mut(), adaptor, &cfg, &mut obs);
     let bytes_lost = handle.borrow().bytes_lost();
     EvalResult {
         flavor,
@@ -338,7 +264,6 @@ pub fn run_eval_cell(
         threshold_t,
         weights,
         fault_profile,
-        ExecutionMode::Accumulate,
     )
 }
 
@@ -402,7 +327,6 @@ impl CellRunner {
             threshold_t,
             weights,
             fault_profile,
-            ExecutionMode::Accumulate,
         )
     }
 }

@@ -1,21 +1,16 @@
-//! One-shot performance measurements behind the `BENCH_1.json` and
-//! `BENCH_2.json` artifacts: campaign throughput with the cached placement
-//! hot path versus the uncached baseline, the snapshot-fork engine versus
-//! full replay and versus a redeploy-per-iteration baseline, fork/restore
-//! micro-costs, and grid-executor scaling across worker counts.
-//!
-//! The Criterion bench target (`benches/paper_artifacts.rs`) and the
-//! `repro perf` subcommand both funnel through this module so the artifact
-//! has one schema regardless of which entry point produced it.
+//! One-shot performance measurements behind the `BENCH_1.json` artifact:
+//! campaign throughput with the cached placement hot path versus the
+//! uncached baseline, fork/restore micro-costs, and grid-executor scaling
+//! across worker counts. `repro perf` is the entry point.
 
 use crate::grid::{run_cell, run_grid, GridSpec};
-use crate::harness::{run_eval, run_eval_baseline, run_eval_mode, run_eval_redeploy};
+use crate::harness::{run_eval, run_eval_baseline};
 use simdfs::{BugSet, DfsRequest, DfsSim, Flavor, MIB};
 use std::time::Instant;
-use themis::{ExecutionMode, VarianceWeights};
+use themis::VarianceWeights;
 
-/// Mirror of the criterion shim's measurement record, so the JSON writer
-/// does not need a criterion dependency in the library.
+/// One timed micro-benchmark, as recorded in an artifact's
+/// `measurements` array.
 #[derive(Debug, Clone)]
 pub struct RawMeasurement {
     /// `group/function` identifier.
@@ -78,158 +73,11 @@ impl CampaignPerf {
     }
 }
 
-/// Fork-engine vs. full-replay vs. redeploy-baseline timing of one
-/// clean-slate campaign.
-///
-/// The fork and full-replay runs are the *same* campaign (bit-identical
-/// results, checked into `results_match`); the redeploy run re-establishes
-/// initial state through `reset()` each iteration — the only option before
-/// the snapshot engine existed — and lives on a different virtual-time
-/// axis (a redeploy charges one virtual minute), so it is compared by
-/// wall-clock throughput rather than per-campaign results.
-#[derive(Debug, Clone)]
-pub struct ForkCampaignPerf {
-    /// Target flavor.
-    pub flavor: Flavor,
-    /// Fault profile injected into every variant ("none" when unfaulted).
-    pub fault_profile: String,
-    /// Virtual budget in hours.
-    pub hours: u64,
-    /// Campaign seed.
-    pub seed: u64,
-    /// Timed repetitions per variant (best run is reported).
-    pub repeats: u32,
-    /// Iterations of the snapshot-engine campaign (fork == full replay).
-    pub iterations: u64,
-    /// Operations sent by the snapshot-engine campaign.
-    pub ops_sent: u64,
-    /// Iterations of the redeploy-baseline campaign.
-    pub redeploy_iterations: u64,
-    /// Best wall seconds with the fork engine (O(suffix) resume).
-    pub fork_s: f64,
-    /// Best wall seconds with full replay over the snapshot base.
-    pub replay_s: f64,
-    /// Best wall seconds with the redeploy-per-iteration fallback.
-    pub redeploy_s: f64,
-    /// Whether the fork and full-replay campaigns produced identical
-    /// results (iterations, ops, detections, confirmed failures, logs).
-    pub results_match: bool,
-}
-
-impl ForkCampaignPerf {
-    /// Fuzzing iterations per wall second with the fork engine.
-    pub fn fork_iters_per_sec(&self) -> f64 {
-        self.iterations as f64 / self.fork_s
-    }
-
-    /// Fuzzing iterations per wall second with full replay.
-    pub fn replay_iters_per_sec(&self) -> f64 {
-        self.iterations as f64 / self.replay_s
-    }
-
-    /// Fuzzing iterations per wall second with the redeploy fallback.
-    pub fn redeploy_iters_per_sec(&self) -> f64 {
-        self.redeploy_iterations as f64 / self.redeploy_s
-    }
-
-    /// Fork-over-full-replay wall ratio (same campaign, same iterations).
-    pub fn speedup_vs_replay(&self) -> f64 {
-        self.replay_s / self.fork_s
-    }
-
-    /// Fork-over-redeploy throughput ratio (iterations per wall second;
-    /// the acceptance criterion's "vs the PR-1 baseline" number).
-    pub fn speedup_vs_redeploy(&self) -> f64 {
-        self.fork_iters_per_sec() / self.redeploy_iters_per_sec()
-    }
-}
-
-/// Times the three clean-slate variants `repeats` times each and keeps the
-/// best run of each, double-checking fork-vs-replay bit-identity.
-pub fn measure_campaign_modes(
-    flavor: Flavor,
-    hours: u64,
-    seed: u64,
-    repeats: u32,
-    fault_profile: &str,
-) -> ForkCampaignPerf {
-    let repeats = repeats.max(1);
-    let mut fork_s = f64::INFINITY;
-    let mut replay_s = f64::INFINITY;
-    let mut redeploy_s = f64::INFINITY;
-    let mut fork = None;
-    let mut replay = None;
-    let mut redeploy = None;
-    let weights = VarianceWeights::default();
-    for _ in 0..repeats {
-        let start = Instant::now();
-        let r = run_eval_mode(
-            flavor,
-            "Themis",
-            BugSet::New,
-            hours,
-            seed,
-            0.25,
-            weights,
-            fault_profile,
-            ExecutionMode::Fork,
-        );
-        fork_s = fork_s.min(start.elapsed().as_secs_f64());
-        fork = Some(r);
-
-        let start = Instant::now();
-        let r = run_eval_mode(
-            flavor,
-            "Themis",
-            BugSet::New,
-            hours,
-            seed,
-            0.25,
-            weights,
-            fault_profile,
-            ExecutionMode::FullReplay,
-        );
-        replay_s = replay_s.min(start.elapsed().as_secs_f64());
-        replay = Some(r);
-
-        let start = Instant::now();
-        let r = run_eval_redeploy(
-            flavor,
-            "Themis",
-            BugSet::New,
-            hours,
-            seed,
-            0.25,
-            weights,
-            fault_profile,
-        );
-        redeploy_s = redeploy_s.min(start.elapsed().as_secs_f64());
-        redeploy = Some(r);
-    }
-    let fork = fork.expect("repeats >= 1");
-    let replay = replay.expect("repeats >= 1");
-    let redeploy = redeploy.expect("repeats >= 1");
-    ForkCampaignPerf {
-        flavor,
-        fault_profile: fault_profile.to_string(),
-        hours,
-        seed,
-        repeats,
-        iterations: fork.campaign.iterations,
-        ops_sent: fork.campaign.ops_sent,
-        redeploy_iterations: redeploy.campaign.iterations,
-        fork_s,
-        replay_s,
-        redeploy_s,
-        results_match: fork.campaign == replay.campaign,
-    }
-}
-
-/// Micro-costs behind the fork engine, as raw measurement records: one
-/// full pristine `reset()` (what the redeploy fallback pays per
-/// iteration), one fork mark on a journaling sim, and one
-/// execute-8-ops-then-restore round trip (what the fork engine pays to
-/// abandon a divergent suffix).
+/// Micro-costs of the delta journal, as raw measurement records: one
+/// full pristine `reset()` (a redeploy), one fork mark on a journaling
+/// sim (what the crash explorer pays per crash point), and one
+/// execute-8-ops-then-restore round trip (rewinding a short suffix, as
+/// the explorer and grid reuse do).
 pub fn measure_fork_restore() -> Vec<RawMeasurement> {
     let mut out = Vec::new();
 
@@ -543,16 +391,6 @@ pub fn bench_json(raw: &[RawMeasurement], campaign: &CampaignPerf, grid: &GridSc
     out
 }
 
-/// Writes the artifact to `path`.
-pub fn write_bench_json(
-    path: &std::path::Path,
-    raw: &[RawMeasurement],
-    campaign: &CampaignPerf,
-    grid: &GridScaling,
-) -> std::io::Result<()> {
-    std::fs::write(path, bench_json(raw, campaign, grid))
-}
-
 pub(crate) fn push_measurements(out: &mut String, raw: &[RawMeasurement], indent: &str) {
     for (i, m) in raw.iter().enumerate() {
         out.push_str(indent);
@@ -568,108 +406,6 @@ pub(crate) fn push_measurements(out: &mut String, raw: &[RawMeasurement], indent
             if i + 1 < raw.len() { "," } else { "" },
         ));
     }
-}
-
-/// Renders the snapshot-fork engine artifact (`BENCH_2.json`).
-pub fn bench2_json(
-    cores: usize,
-    fork_restore: &[RawMeasurement],
-    campaigns: &[ForkCampaignPerf],
-    grid: &GridScaling,
-) -> String {
-    let mut out = String::new();
-    out.push_str("{\n  \"schema\": \"themis-bench-v2\",\n");
-    out.push_str("  \"schema_version\": 2,\n");
-    let topo = HostTopology::detect();
-    out.push_str(&format!(
-        "  \"host\": {{\"cores\": {cores}, \"available_parallelism\": {}, \"logical_cores\": {}}},\n",
-        topo.available_parallelism, topo.logical_cores
-    ));
-
-    out.push_str("  \"fork_restore\": [\n");
-    push_measurements(&mut out, fork_restore, "    ");
-    out.push_str("  ],\n");
-
-    out.push_str("  \"campaign_fork_vs_replay\": [\n");
-    for (i, c) in campaigns.iter().enumerate() {
-        out.push_str("    {\n");
-        out.push_str(&format!("      \"flavor\": \"{}\",\n", c.flavor.name()));
-        out.push_str("      \"fault_profile\": ");
-        push_json_str(&mut out, &c.fault_profile);
-        out.push_str(",\n");
-        out.push_str(&format!("      \"hours\": {},\n", c.hours));
-        out.push_str(&format!("      \"seed\": {},\n", c.seed));
-        out.push_str(&format!("      \"repeats\": {},\n", c.repeats));
-        out.push_str(&format!("      \"iterations\": {},\n", c.iterations));
-        out.push_str(&format!("      \"ops_sent\": {},\n", c.ops_sent));
-        out.push_str(&format!(
-            "      \"redeploy_iterations\": {},\n",
-            c.redeploy_iterations
-        ));
-        out.push_str(&format!("      \"fork_s\": {},\n", json_f64(c.fork_s)));
-        out.push_str(&format!("      \"replay_s\": {},\n", json_f64(c.replay_s)));
-        out.push_str(&format!(
-            "      \"redeploy_s\": {},\n",
-            json_f64(c.redeploy_s)
-        ));
-        out.push_str(&format!(
-            "      \"fork_iters_per_sec\": {},\n",
-            json_f64(c.fork_iters_per_sec())
-        ));
-        out.push_str(&format!(
-            "      \"replay_iters_per_sec\": {},\n",
-            json_f64(c.replay_iters_per_sec())
-        ));
-        out.push_str(&format!(
-            "      \"redeploy_iters_per_sec\": {},\n",
-            json_f64(c.redeploy_iters_per_sec())
-        ));
-        out.push_str(&format!(
-            "      \"speedup_vs_replay\": {},\n",
-            json_f64(c.speedup_vs_replay())
-        ));
-        out.push_str(&format!(
-            "      \"speedup_vs_redeploy\": {},\n",
-            json_f64(c.speedup_vs_redeploy())
-        ));
-        out.push_str(&format!("      \"results_match\": {}\n", c.results_match));
-        out.push_str(&format!(
-            "    }}{}\n",
-            if i + 1 < campaigns.len() { "," } else { "" }
-        ));
-    }
-    out.push_str("  ],\n");
-
-    out.push_str("  \"grid\": {\n");
-    out.push_str(&format!("    \"cells\": {},\n", grid.cells));
-    out.push_str(&format!(
-        "    \"identical_to_serial\": {},\n",
-        grid.identical_to_serial
-    ));
-    out.push_str("    \"runs\": [");
-    for (i, (workers, secs)) in grid.runs.iter().enumerate() {
-        if i > 0 {
-            out.push_str(", ");
-        }
-        out.push_str(&format!(
-            "{{\"workers\": {workers}, \"wall_s\": {}, \"speedup\": {}}}",
-            json_f64(*secs),
-            json_f64(grid.speedup_at(*workers).unwrap_or(f64::NAN)),
-        ));
-    }
-    out.push_str("]\n  }\n}\n");
-    out
-}
-
-/// Writes the snapshot-fork artifact to `path`.
-pub fn write_bench2_json(
-    path: &std::path::Path,
-    cores: usize,
-    fork_restore: &[RawMeasurement],
-    campaigns: &[ForkCampaignPerf],
-    grid: &GridScaling,
-) -> std::io::Result<()> {
-    std::fs::write(path, bench2_json(cores, fork_restore, campaigns, grid))
 }
 
 #[cfg(test)]
@@ -722,15 +458,6 @@ mod tests {
     }
 
     #[test]
-    fn fork_vs_replay_modes_agree_bit_for_bit() {
-        let p = measure_campaign_modes(Flavor::GlusterFs, 1, 0xbe, 1, "none");
-        assert!(p.results_match, "fork and full-replay campaigns diverged");
-        assert!(p.iterations > 0 && p.ops_sent > 0);
-        assert!(p.redeploy_iterations > 0);
-        assert!(p.fork_s > 0.0 && p.replay_s > 0.0 && p.redeploy_s > 0.0);
-    }
-
-    #[test]
     fn fork_restore_micro_measurements_cover_the_primitive() {
         let ms = measure_fork_restore();
         let ids: Vec<&str> = ms.iter().map(|m| m.id.as_str()).collect();
@@ -760,45 +487,5 @@ mod tests {
         let j = t.to_json();
         assert!(j.starts_with("{\"available_parallelism\": "));
         assert_eq!(j.matches('{').count(), j.matches('}').count());
-    }
-
-    #[test]
-    fn bench2_json_is_well_formed_enough() {
-        let c = ForkCampaignPerf {
-            flavor: Flavor::CephFs,
-            fault_profile: "crash".into(),
-            hours: 1,
-            seed: 7,
-            repeats: 2,
-            iterations: 100,
-            ops_sent: 1000,
-            redeploy_iterations: 40,
-            fork_s: 0.1,
-            replay_s: 0.5,
-            redeploy_s: 0.8,
-            results_match: true,
-        };
-        let grid = GridScaling {
-            cells: 64,
-            runs: vec![(1, 4.0), (4, 2.0)],
-            identical_to_serial: true,
-        };
-        let raw = vec![RawMeasurement {
-            id: "perf/fork_restore_suffix8".into(),
-            samples: 3,
-            iters_per_sample: 10,
-            mean_s: 1e-6,
-            min_s: 9e-7,
-            max_s: 2e-6,
-        }];
-        let j = bench2_json(4, &raw, std::slice::from_ref(&c), &grid);
-        assert!(j.contains("\"schema\": \"themis-bench-v2\""));
-        assert!(j.contains("\"schema_version\": 2"));
-        assert!(j.contains("\"host\": {\"cores\": 4, \"available_parallelism\": "));
-        assert!(j.contains("\"fault_profile\": \"crash\""));
-        assert!(j.contains("\"speedup_vs_replay\": 5.0"));
-        assert_eq!(j.matches('{').count(), j.matches('}').count());
-        assert!((c.speedup_vs_replay() - 5.0).abs() < 1e-9);
-        assert!((c.speedup_vs_redeploy() - 20.0).abs() < 1e-9);
     }
 }

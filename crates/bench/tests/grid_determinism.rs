@@ -1,13 +1,9 @@
 //! A campaign is a pure function of (flavor, strategy, seed): the grid
 //! executor must return bit-identical results to serial execution no
-//! matter how many workers race over the matrix — and the snapshot-fork
-//! engine must be bit-identical to full replay on every flavor, including
-//! under an active fault profile.
+//! matter how many workers race over the matrix.
 
-use bench::harness::run_eval_mode;
 use bench::{run_cell, run_grid, GridSpec};
 use simdfs::{BugSet, Flavor};
-use themis::{ExecutionMode, VarianceWeights};
 
 #[test]
 fn grid_results_are_identical_to_serial_at_any_worker_count() {
@@ -96,54 +92,6 @@ fn scaled_grid_cells_are_identical_to_serial_reference() {
                 "scaled cell {} diverged at workers={workers}",
                 g.index
             );
-        }
-    }
-}
-
-#[test]
-fn fork_engine_is_bit_identical_to_full_replay_on_every_flavor() {
-    // Every flavor, unfaulted and under an active fault profile: the
-    // O(suffix) fork engine and the full-replay engine must produce the
-    // same campaign down to iterations, ops, detections, confirmed
-    // failures and their reproduction logs (CampaignResult's PartialEq
-    // covers all of it, including the Arc'd logs by content).
-    for flavor in Flavor::all() {
-        for profile in ["none", "crash"] {
-            let run = |mode: ExecutionMode| {
-                run_eval_mode(
-                    flavor,
-                    "Themis",
-                    BugSet::New,
-                    1,
-                    0xbe,
-                    0.25,
-                    VarianceWeights::default(),
-                    profile,
-                    mode,
-                )
-            };
-            let fork = run(ExecutionMode::Fork);
-            let full = run(ExecutionMode::FullReplay);
-            assert_eq!(
-                fork.campaign,
-                full.campaign,
-                "fork engine diverged from full replay on {} / {profile}",
-                flavor.name()
-            );
-            assert_eq!(fork.found, full.found, "{} / {profile}", flavor.name());
-            assert_eq!(
-                fork.first_trigger_min,
-                full.first_trigger_min,
-                "{} / {profile}",
-                flavor.name()
-            );
-            assert_eq!(
-                fork.false_positive_confirms,
-                full.false_positive_confirms,
-                "{} / {profile}",
-                flavor.name()
-            );
-            assert!(fork.campaign.iterations > 0, "{}", flavor.name());
         }
     }
 }

@@ -3246,22 +3246,46 @@ mod tests {
     /// abandoned branch.
     #[test]
     fn forked_suffix_replay_is_bit_identical() {
-        let straight = {
-            let mut s = DfsSim::new(Flavor::CephFs, BugSet::New);
-            churn(&mut s, 0);
-            churn(&mut s, 2);
-            (fingerprint(&s), s.coverage_count())
+        // Every flavor, with no fault plan and with the "crash" profile.
+        // The crash fires 20-40 virtual minutes in, so each suffix first
+        // steps the clock past it: the abandoned branch and the replayed
+        // suffix both run through the fault.
+        let suffix = |s: &mut DfsSim, tag: u32| {
+            s.tick(41 * 60_000);
+            churn(s, tag);
         };
-        let mut s = DfsSim::new(Flavor::CephFs, BugSet::New);
-        churn(&mut s, 0);
-        let mark = s.fork();
-        churn(&mut s, 1); // abandoned branch (different topology/rings)
-        assert!(s.restore(mark));
-        churn(&mut s, 2);
-        assert_eq!(fingerprint(&s), straight.0);
-        // Coverage is monotone: the abandoned branch may only have added
-        // branches on top of the straight-line set.
-        assert!(s.coverage_count() >= straight.1);
+        for flavor in Flavor::all() {
+            for plan in [None, FaultPlan::named("crash", 0xbe)] {
+                let deploy = || {
+                    let mut s = DfsSim::new(flavor, BugSet::New);
+                    if let Some(p) = &plan {
+                        s.set_fault_plan(p.clone());
+                    }
+                    churn(&mut s, 0);
+                    s
+                };
+                let straight = {
+                    let mut s = deploy();
+                    suffix(&mut s, 2);
+                    (fingerprint(&s), s.coverage_count())
+                };
+                let mut s = deploy();
+                let mark = s.fork();
+                suffix(&mut s, 1); // abandoned branch (different topology/rings)
+                assert!(s.restore(mark));
+                suffix(&mut s, 2);
+                let ctx = format!("{flavor:?} / {:?}", plan.is_some());
+                assert_eq!(fingerprint(&s), straight.0, "{ctx}");
+                assert_eq!(
+                    s.crashed_nodes().is_empty(),
+                    plan.is_none(),
+                    "the crash profile must fire inside the suffix: {ctx}"
+                );
+                // Coverage is monotone: the abandoned branch may only have
+                // added branches on top of the straight-line set.
+                assert!(s.coverage_count() >= straight.1, "{ctx}");
+            }
+        }
     }
 
     #[test]

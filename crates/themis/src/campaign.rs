@@ -15,32 +15,10 @@ use crate::gen::MAX_SEQ_LEN;
 use crate::lvm::{self, VarianceWeights};
 use crate::model::InputModel;
 use crate::report::{ConfirmedFailure, LoggedOp, ReproLog};
-use crate::seedpool::PrefixChain;
 use crate::strategies::{ExecFeedback, GenCtx, Strategy};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
-
-/// How the campaign positions the target between fuzzing iterations.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
-pub enum ExecutionMode {
-    /// Paper semantics: state accumulates across iterations and the target
-    /// is only reset after a confirmed failure.
-    #[default]
-    Accumulate,
-    /// Clean-slate semantics: every case runs against the initial state,
-    /// re-established in full each iteration (a restore-to-base for
-    /// snapshot-capable adaptors, a complete redeploy otherwise).
-    FullReplay,
-    /// Clean-slate semantics via the snapshot-fork engine: restore the
-    /// deepest cached ancestor shared with the previous case and replay
-    /// only the divergent suffix — O(suffix) per iteration instead of
-    /// O(case), bit-identical to [`ExecutionMode::FullReplay`]. Mutated
-    /// children mostly share a long prefix with their parent, so the
-    /// savings compound. Degrades to exactly `FullReplay` behavior on
-    /// adaptors without [`crate::SnapshotCapable`].
-    Fork,
-}
 
 /// Campaign configuration.
 #[derive(Debug, Clone, Copy, Serialize, Deserialize)]
@@ -225,88 +203,16 @@ pub struct NullObserver;
 
 impl CampaignObserver for NullObserver {}
 
-/// Runs one campaign to completion under the default
-/// [`ExecutionMode::Accumulate`] semantics.
+/// Runs one campaign to completion.
+///
+/// Target state accumulates across iterations and is reset only after a
+/// confirmed failure (Figure 6): imbalance builds up over many operations
+/// (Finding 6), so a case is judged against everything run before it.
 pub fn run_campaign(
     strategy: &mut dyn Strategy,
     adaptor: &mut dyn DfsAdaptor,
     cfg: &CampaignConfig,
     observer: &mut dyn CampaignObserver,
-) -> CampaignResult {
-    run_campaign_with_mode(strategy, adaptor, cfg, observer, ExecutionMode::Accumulate)
-}
-
-/// The campaign's target-positioning machinery, chosen once at startup.
-enum Engine {
-    /// No positioning: state accumulates (paper semantics).
-    Accumulate,
-    /// Clean-slate on a non-capable adaptor: full redeploy between
-    /// iterations. `needs_reset` is false while the target is already at
-    /// its initial state (campaign start, just after a confirm reset).
-    Fallback { needs_reset: bool },
-    /// Clean-slate on a snapshot-capable adaptor. `chain` caches the
-    /// previous case's per-prefix marks; `fork` selects O(suffix) resume
-    /// (vs. always restoring the base). Restores rewind the target's raw
-    /// clock, so virtual time is accounted as `consumed + (raw - t0)`:
-    /// `t0` is the raw clock at the current lineage's base and `consumed`
-    /// banks each finished iteration's elapsed time before the next
-    /// restore rewinds it.
-    ///
-    /// Marks are adaptive: `miss_streak` counts consecutive iterations
-    /// whose shared prefix was empty, and once it passes
-    /// [`FORK_MISS_LIMIT`] the engine stops taking per-operation marks
-    /// (`mark_ops`) except on every [`FORK_PROBE_PERIOD`]th iteration.
-    /// Against a strategy that never revisits a prefix this degrades fork
-    /// to full replay plus a sliver of probing, instead of paying a mark
-    /// per operation for restores that never come; marks never influence
-    /// execution outcomes, so the policy cannot affect results.
-    Snap {
-        chain: PrefixChain,
-        consumed: u64,
-        t0: u64,
-        fork: bool,
-        miss_streak: u32,
-        mark_ops: bool,
-    },
-}
-
-/// Consecutive empty-prefix iterations after which the fork engine stops
-/// taking per-operation marks (see [`Engine::Snap`]).
-const FORK_MISS_LIMIT: u32 = 8;
-
-/// While marks are suspended, every Nth iteration still marks its case so
-/// prefix reuse can be rediscovered if the strategy starts producing it.
-const FORK_PROBE_PERIOD: u64 = 16;
-
-/// Virtual-time offset of an engine: `vtime(raw, off(e))` maps a raw
-/// target clock reading onto the campaign's monotone virtual axis.
-fn off(e: &Engine) -> (u64, u64) {
-    match e {
-        Engine::Snap { consumed, t0, .. } => (*consumed, *t0),
-        _ => (0, 0),
-    }
-}
-
-fn vtime(raw: u64, (consumed, t0): (u64, u64)) -> u64 {
-    consumed + raw.saturating_sub(t0)
-}
-
-/// Runs one campaign to completion under an explicit execution mode.
-///
-/// The clean-slate modes ([`ExecutionMode::FullReplay`] and
-/// [`ExecutionMode::Fork`]) are bit-identical to each other on any
-/// adaptor: same iterations, operations, detections, confirmed failures
-/// and reproduction logs. `Fork` merely skips re-executing work whose
-/// outcome is already determined (the shared prefix), exploiting that
-/// every operation's outcome is a deterministic function of (base state,
-/// op prefix). Their results are reported on a virtual-time axis starting
-/// at 0, because snapshot restores rewind the target's raw clock.
-pub fn run_campaign_with_mode(
-    strategy: &mut dyn Strategy,
-    adaptor: &mut dyn DfsAdaptor,
-    cfg: &CampaignConfig,
-    observer: &mut dyn CampaignObserver,
-    mode: ExecutionMode,
 ) -> CampaignResult {
     let mut rng = StdRng::seed_from_u64(cfg.seed);
     let mut model = InputModel::new();
@@ -317,26 +223,7 @@ pub fn run_campaign_with_mode(
         detector.cfg.threshold_t = a.threshold();
     }
 
-    let mut engine = if mode == ExecutionMode::Accumulate {
-        Engine::Accumulate
-    } else if let Some(base) = adaptor.snapshots().map(|s| s.snapshot()) {
-        Engine::Snap {
-            chain: PrefixChain::new(base),
-            consumed: 0,
-            t0: adaptor.now_ms(),
-            fork: mode == ExecutionMode::Fork,
-            miss_streak: 0,
-            mark_ops: mode == ExecutionMode::Fork,
-        }
-    } else {
-        Engine::Fallback { needs_reset: false }
-    };
-    // In clean-slate modes the input model permanently describes the
-    // initial state (that is what every case runs against); only the
-    // accumulate engine tracks execution effects into it.
-    let track_model = matches!(engine, Engine::Accumulate);
-
-    let start_v = vtime(adaptor.now_ms(), off(&engine));
+    let start_ms = adaptor.now_ms();
     let mut result = CampaignResult {
         target: adaptor.name(),
         strategy: strategy.name().to_string(),
@@ -344,7 +231,7 @@ pub fn run_campaign_with_mode(
         candidates_raised: 0,
         filtered_by_double_check: 0,
         coverage_trace: vec![CoveragePoint {
-            time_ms: start_v,
+            time_ms: start_ms,
             branches: adaptor.coverage(),
         }],
         final_coverage: 0,
@@ -357,7 +244,7 @@ pub fn run_campaign_with_mode(
     // allocation-free apart from case generation and confirmations).
     let mut report = LoadReport::default();
     let mut persistent: Vec<crate::detector::Candidate> = Vec::new();
-    let mut next_sample = start_v + cfg.sample_period_ms;
+    let mut next_sample = start_ms + cfg.sample_period_ms;
     // Imbalance kinds observed on the previous iteration: a candidate must
     // persist across two consecutive iterations before the (expensive)
     // double-check runs — transient imbalance during an in-flight
@@ -371,17 +258,7 @@ pub fn run_campaign_with_mode(
     let mut sorted_nodes: Vec<(u64, crate::adaptor::Role)> = Vec::new();
     let mut prior_variance = 0.0f64;
 
-    loop {
-        // Between iterations the snapshot engine's virtual position is
-        // exactly the banked time (the raw clock is about to be rewound);
-        // elsewhere raw time is the position.
-        let vpos = match &engine {
-            Engine::Snap { consumed, .. } => *consumed,
-            _ => adaptor.now_ms(),
-        };
-        if vpos.saturating_sub(start_v) >= cfg.budget_ms {
-            break;
-        }
+    while adaptor.now_ms().saturating_sub(start_ms) < cfg.budget_ms {
         result.iterations += 1;
         let case = {
             let mut ctx = GenCtx {
@@ -392,89 +269,20 @@ pub fn run_campaign_with_mode(
             strategy.next_case(&mut ctx)
         };
 
-        // Position the target for this case and replay any cached prefix
-        // outcomes into the log.
-        let exec_from = match &mut engine {
-            Engine::Accumulate => 0,
-            Engine::Fallback { needs_reset } => {
-                if *needs_reset {
-                    adaptor.reset();
-                }
-                0
-            }
-            Engine::Snap {
-                chain,
-                consumed,
-                t0,
-                fork,
-                miss_streak,
-                mark_ops,
-            } => {
-                let k = if *fork { chain.lcp(&case.ops) } else { 0 };
-                if *fork {
-                    *miss_streak = if k > 0 {
-                        0
-                    } else {
-                        miss_streak.saturating_add(1)
-                    };
-                    *mark_ops = *miss_streak < FORK_MISS_LIMIT
-                        || result.iterations.is_multiple_of(FORK_PROBE_PERIOD);
-                }
-                if adaptor.snapshots().expect("capable").restore(chain.mark(k)) {
-                    chain.truncate(k);
-                    for (i, op) in case.ops[..k].iter().enumerate() {
-                        let (ok, raw_t) = chain.outcome(i);
-                        repro_log.push(LoggedOp {
-                            time_ms: *consumed + raw_t.saturating_sub(*t0),
-                            op: op.clone(),
-                            ok,
-                        });
-                        result.ops_sent += 1;
-                    }
-                    k
-                } else {
-                    // Defensive: the lineage was lost (cannot happen while
-                    // the engine owns all resets). Rebuild from a redeploy.
-                    adaptor.reset();
-                    let raw = adaptor.now_ms();
-                    *consumed += raw.saturating_sub(*t0);
-                    *t0 = raw;
-                    chain.rebase(adaptor.snapshots().expect("capable").snapshot());
-                    0
-                }
-            }
-        };
-
-        // Execute the (rest of the) case; failed operations are normal
-        // fuzzing outcomes.
-        for op in &case.ops[exec_from..] {
+        // Execute the case; failed operations are normal fuzzing outcomes.
+        for op in &case.ops {
             let ok = adaptor.send(op).is_ok();
-            if track_model && ok {
+            if ok {
                 model.apply(op);
             }
-            let raw_t = adaptor.now_ms();
             repro_log.push(LoggedOp {
-                time_ms: vtime(raw_t, off(&engine)),
+                time_ms: adaptor.now_ms(),
                 op: op.clone(),
                 ok,
             });
             result.ops_sent += 1;
-            if let Engine::Snap {
-                chain,
-                mark_ops: true,
-                ..
-            } = &mut engine
-            {
-                let mark = adaptor.snapshots().expect("capable").snapshot();
-                chain.push(op.clone(), ok, raw_t, mark);
-            }
         }
-        if track_model {
-            model.sync_topology(&adaptor.topology());
-        }
-        if let Engine::Fallback { needs_reset } = &mut engine {
-            *needs_reset = true;
-        }
+        model.sync_topology(&adaptor.topology());
 
         // Monitor, model, detect (Figure 6 steps 6-8). The report buffer
         // is reused across iterations.
@@ -575,7 +383,7 @@ pub fn run_campaign_with_mode(
                 let failure = ConfirmedFailure {
                     kind: c.kind,
                     ratio: c.ratio,
-                    time_ms: vtime(adaptor.now_ms(), off(&engine)),
+                    time_ms: adaptor.now_ms(),
                     case: case.clone(),
                     repro_log: std::sync::Arc::clone(snapshot.as_ref().expect("non-empty")),
                 };
@@ -616,52 +424,23 @@ pub fn run_campaign_with_mode(
             result.resets += 1;
             prior_variance = 0.0;
             prior_kinds.clear();
-            match &mut engine {
-                Engine::Accumulate => {}
-                // The target is already at its initial state; skip the
-                // next iteration's redeploy.
-                Engine::Fallback { needs_reset } => *needs_reset = false,
-                Engine::Snap {
-                    chain,
-                    consumed,
-                    t0,
-                    ..
-                } => {
-                    // The reset killed every mark: bank the elapsed time
-                    // up to and including the reset, then re-root the
-                    // lineage on the fresh initial state.
-                    let raw = adaptor.now_ms();
-                    *consumed += raw.saturating_sub(*t0);
-                    *t0 = raw;
-                    chain.rebase(adaptor.snapshots().expect("capable").snapshot());
-                }
-            }
         }
 
-        // Sample the coverage trace on the virtual-minute grid, then bank
-        // this iteration's elapsed time before the next restore rewinds
-        // the raw clock.
-        let vnow = vtime(adaptor.now_ms(), off(&engine));
-        while next_sample <= vnow {
+        // Sample the coverage trace on the virtual-minute grid.
+        let now = adaptor.now_ms();
+        while next_sample <= now {
             result.coverage_trace.push(CoveragePoint {
                 time_ms: next_sample,
                 branches: adaptor.coverage(),
             });
             next_sample += cfg.sample_period_ms;
         }
-        observer.on_iteration(vnow);
-        if let Engine::Snap { consumed, .. } = &mut engine {
-            *consumed = vnow;
-        }
+        observer.on_iteration(now);
     }
 
     result.final_coverage = adaptor.coverage();
-    let vend = match &engine {
-        Engine::Snap { consumed, .. } => *consumed,
-        _ => adaptor.now_ms(),
-    };
     result.coverage_trace.push(CoveragePoint {
-        time_ms: vend,
+        time_ms: adaptor.now_ms(),
         branches: result.final_coverage,
     });
     result
@@ -881,47 +660,6 @@ mod tests {
         let res = run_campaign(&mut strat, &mut adaptor, &cfg, &mut obs);
         assert_eq!(obs.0, res.confirmed.len() as u64);
         assert!(obs.0 >= 1);
-    }
-
-    #[test]
-    fn clean_slate_modes_are_identical_on_non_capable_adaptors() {
-        // FakeAdaptor has no snapshot capability, so both clean-slate
-        // modes must take the same full-redeploy fallback path and produce
-        // exactly the same result — including logged op times and
-        // confirmed failures.
-        let cfg = CampaignConfig {
-            budget_ms: 400_000,
-            ..Default::default()
-        };
-        let run = |mode: ExecutionMode| {
-            let mut strat = ThemisMinus;
-            let mut adaptor = FakeAdaptor::new(20);
-            run_campaign_with_mode(&mut strat, &mut adaptor, &cfg, &mut NullObserver, mode)
-        };
-        let full = run(ExecutionMode::FullReplay);
-        let fork = run(ExecutionMode::Fork);
-        assert_eq!(full, fork);
-        assert!(full.iterations > 0);
-    }
-
-    #[test]
-    fn clean_slate_fallback_redeploys_between_iterations() {
-        let mut strat = ThemisMinus;
-        let mut adaptor = FakeAdaptor::new(u64::MAX);
-        let cfg = CampaignConfig {
-            budget_ms: 600_000,
-            ..Default::default()
-        };
-        let res = run_campaign_with_mode(
-            &mut strat,
-            &mut adaptor,
-            &cfg,
-            &mut NullObserver,
-            ExecutionMode::FullReplay,
-        );
-        // One redeploy before every iteration except the first.
-        assert_eq!(adaptor.resets, res.iterations - 1);
-        assert_eq!(res.resets, 0, "no failures, so no confirm resets");
     }
 
     /// Kinds confirmed by the first double-check of a campaign against a

@@ -53,8 +53,7 @@ pub use adaptor::{
     NodeLoad, Role, SnapshotCapable,
 };
 pub use campaign::{
-    run_campaign, run_campaign_with_mode, CampaignConfig, CampaignObserver, CampaignResult,
-    CoveragePoint, ExecutionMode, NullObserver,
+    run_campaign, CampaignConfig, CampaignObserver, CampaignResult, CoveragePoint, NullObserver,
 };
 pub use crash::{
     explore_bounded, explore_random, run_crash_campaign, CrashCampaignResult,
@@ -65,7 +64,7 @@ pub use gen::{OpDraw, MAX_SEQ_LEN};
 pub use lvm::{VarianceScore, VarianceWeights};
 pub use model::InputModel;
 pub use report::{ConfirmedFailure, LoggedOp};
-pub use seedpool::{PrefixChain, SeedPool};
+pub use seedpool::SeedPool;
 pub use spec::{Operand, OperandKind, Operation, Operator, TestCase};
 pub use strategies::{
     by_name, Alternate, Concurrent, ExecFeedback, FixConf, FixReq, GenCtx, Strategy, ThemisMinus,

@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
-# CI gate: formatting, lints, the full test suite, and a bench smoke run
-# that exercises the grid executor and dumps the perf JSON artifact.
+# CI gate: formatting, lints, the full test suite, a byte-for-byte check
+# of the regenerated paper tables, and a bench smoke run that exercises
+# the grid executor and dumps the perf JSON artifact.
 #
 # Usage: scripts/ci.sh [--no-bench|--bench-scaling|--bench-scale100k]
 #   --no-bench        skip the bench smoke step (fast pre-push check)
@@ -52,6 +53,16 @@ run cargo test --release --offline --manifest-path perfbench/Cargo.toml -q
 # catch both (plus the audit-flag default/toggle contract).
 run cargo test --release --offline -p simdfs -q -- release_oracle runtime_audit
 
+# The paper's findings are the product: regenerate every table and figure
+# (about 16 s in release on a 2-CPU host) and fail if any differs from
+# the committed file by a single byte. A change that moves a table must
+# commit the regenerated file and say why.
+run cargo run --release --offline -p bench --bin repro
+if ! git diff --exit-code --stat -- 'results/table*.txt' 'results/figure*.txt'; then
+    echo "==> paper tables differ from the committed results/ (regenerate and commit them)"
+    exit 1
+fi
+
 if [[ "${1:-}" != "--no-bench" ]]; then
     # Capture the committed baseline throughput BEFORE the bench run
     # overwrites the artifact: the regression gate compares the fresh
@@ -60,18 +71,13 @@ if [[ "${1:-}" != "--no-bench" ]]; then
         | grep -o '[0-9.]*$' || true)
 
     # Bench smoke: the repro binary's perf mode times the cached-vs-baseline
-    # campaign hot path plus grid scaling and writes results/BENCH_1.json,
-    # then the snapshot-fork engine against full replay and the redeploy
-    # fallback into results/BENCH_2.json.
+    # campaign hot path, grid scaling and the delta journal's fork/restore
+    # micro-costs, and writes results/BENCH_1.json.
     run cargo run --release --offline -p bench --bin repro -- perf
     test -s results/BENCH_1.json
     check_schema results/BENCH_1.json 1
     echo "==> results/BENCH_1.json:"
     cat results/BENCH_1.json
-    test -s results/BENCH_2.json
-    check_schema results/BENCH_2.json 2
-    echo "==> results/BENCH_2.json:"
-    cat results/BENCH_2.json
 
     # Perf regression gate: fail if campaign throughput fell more than 30%
     # below the committed baseline (shared CI boxes are noisy; a >30% drop
