@@ -638,8 +638,8 @@ impl Cluster {
     ///
     /// Fragment sizes are multiplied by `new_size / old_size`, so a striped
     /// file keeps its distribution shape. Fails with `OutOfSpace` if any
-    /// fragment's volume cannot absorb its growth; on failure nothing is
-    /// changed.
+    /// volume cannot absorb the summed growth of the file's fragments on
+    /// it; on failure nothing is changed.
     pub fn rescale_file(
         &mut self,
         fid: crate::types::FileId,
@@ -660,20 +660,27 @@ impl Cluster {
                 ((bytes as u128 * new_size as u128) / old_size as u128) as Bytes
             }
         };
-        // Validate growth first so the whole rescale is atomic.
+        // Validate growth first so the whole rescale is atomic. Several
+        // fragments of one file can sit on one volume, so growth is summed
+        // per volume before it is compared with that volume's free space.
+        let mut growth: Vec<(VolumeId, Bytes)> = Vec::new();
         for r in &meta.replicas {
-            let target = scale(r.bytes);
-            if target > r.bytes {
-                let grow = target - r.bytes;
-                let v = self
-                    .volume(r.volume)
-                    .ok_or(SimError::NoSuchVolume(r.volume))?;
-                if v.free() < grow {
-                    return Err(SimError::OutOfSpace {
-                        requested: grow,
-                        free: v.free(),
-                    });
-                }
+            let grow = scale(r.bytes).saturating_sub(r.bytes);
+            if grow == 0 {
+                continue;
+            }
+            match growth.iter_mut().find(|(vol, _)| *vol == r.volume) {
+                Some((_, total)) => *total += grow,
+                None => growth.push((r.volume, grow)),
+            }
+        }
+        for (vol, grow) in growth {
+            let v = self.volume(vol).ok_or(SimError::NoSuchVolume(vol))?;
+            if v.free() < grow {
+                return Err(SimError::OutOfSpace {
+                    requested: grow,
+                    free: v.free(),
+                });
             }
         }
         let mut touched: Vec<VolumeId> = Vec::new();
@@ -1286,6 +1293,28 @@ mod tests {
         // Nothing changed.
         assert_eq!(c.files[&FileId(1)].replicas[0].bytes, 100);
         assert_eq!(c.files[&FileId(1)].replicas[1].bytes, 100);
+    }
+
+    #[test]
+    fn rescale_sums_growth_of_fragments_sharing_a_volume() {
+        let mut c = cluster_with(1, 1, 300);
+        let vol = c.volume_views()[0].volume;
+        // Two fragments of one file on one volume, 200 B free: each
+        // fragment's growth (+150) fits alone, their sum (+300) does not.
+        c.store(FileId(1), vol, 50).unwrap();
+        c.store(FileId(1), vol, 50).unwrap();
+        assert!(matches!(
+            c.rescale_file(FileId(1), 100, 400),
+            Err(SimError::OutOfSpace {
+                requested: 300,
+                free: 200
+            })
+        ));
+        // Nothing changed.
+        assert_eq!(c.files[&FileId(1)].replicas[0].bytes, 50);
+        assert_eq!(c.files[&FileId(1)].replicas[1].bytes, 50);
+        assert_eq!(c.volume(vol).unwrap().used, 100);
+        c.audit().expect("accounting intact");
     }
 
     #[test]
