@@ -7,11 +7,11 @@
 //! matrix run (Table 3 /
 //! Table 5 / Figure 12). `perf` times the cached-vs-baseline campaign hot
 //! path, grid-executor scaling and the fork/restore micro-costs of the
-//! delta journal, and dumps `results/BENCH_1.json`. Campaigns always run
-//! in accumulate mode: a clean-slate mode (every case from the initial
-//! state) was measured over 12 24-hour Themis campaigns and confirmed no
-//! ground-truth bug, because imbalance builds up over many operations, so
-//! it was removed. `faults` sweeps the fault-injection
+//! delta journal, and dumps `results/BENCH_1.json`. Every campaign runs
+//! in accumulate mode. A clean-slate mode, which started every case from
+//! the initial state, was removed: in twelve 24-hour Themis campaigns it
+//! triggered no ground-truth bug, because imbalance builds up over many
+//! operations. `faults` sweeps the fault-injection
 //! matrix at a reduced budget and writes `results/faults.txt`. `scale`
 //! measures variance-sampling cost from 10 to 10k storage nodes plus
 //! heavy-traffic campaigns at scale and writes `results/BENCH_3.json`.

@@ -781,7 +781,7 @@ fn rearmed(t: &Trigger) -> Trigger {
 
 /// The mutable progress of a [`Trigger`], detached from its (often much
 /// larger) immutable configuration — pattern vectors, thresholds, windows
-/// stay with the live trigger. The snapshot-fork engine checkpoints armed
+/// stay with the live trigger. `DfsSim::fork` checkpoints armed
 /// bugs through this so a fork mark costs O(live state), not a deep clone
 /// of every spec.
 ///

@@ -41,7 +41,7 @@ pub struct FileMeta {
 /// mutated file, newest last. `None` means the file did not exist. The
 /// node/volume maps are small enough to checkpoint wholesale, so only
 /// `files` (the one collection that grows with workload size) is
-/// journaled. Disabled by default; the snapshot-fork engine enables it.
+/// journaled. Disabled by default; `DfsSim::fork` enables it.
 #[derive(Debug, Clone, Default)]
 struct FilesJournal {
     enabled: bool,

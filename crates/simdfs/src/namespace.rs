@@ -62,8 +62,8 @@ enum NsRecord {
     },
 }
 
-/// The undo journal. Disabled (and empty) by default so the accumulate
-/// execution path pays nothing; the snapshot-fork engine enables it.
+/// The undo journal. Disabled (and empty) by default so execution without
+/// fork marks pays nothing; `DfsSim::fork` enables it.
 #[derive(Debug, Clone, Default)]
 struct NsJournal {
     enabled: bool,

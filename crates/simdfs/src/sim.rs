@@ -171,7 +171,7 @@ struct BaseMark {
     migrate_timer: PeriodicTimer,
 }
 
-/// One saved execution point of the snapshot-fork engine.
+/// One saved execution point of [`DfsSim::fork`].
 ///
 /// The two big collections (namespace arena, physical file map) are
 /// captured as *journal checkpoints* — undo records accumulate in their
